@@ -36,7 +36,7 @@ use mvgnn_embed::{
 use mvgnn_ir::module::{FuncId, LoopId, Module};
 use mvgnn_peg::{build_peg, loop_subpeg};
 use mvgnn_profiler::{
-    build_cus, classify_loop, loop_features, profile_module_resilient, LoopRuntime,
+    build_cus_in, classify_loop, loop_features, profile_module_resilient, LoopRuntime,
 };
 use mvgnn_tensor::Workspace;
 use std::sync::Arc;
@@ -354,7 +354,9 @@ impl Cascade {
     ///
     /// The returned vector always covers every loop of the function, in
     /// loop order. Tier-0 verdicts carry the oracle report (facts and
-    /// all) and never touch the GNN; undecided loops go through the
+    /// all) and never touch the GNN or the profiler: the entry is
+    /// interpreted only when some loop survives tier 0, and the CUs and
+    /// PEG are built for `entry` alone. Undecided loops go through the
     /// historical pre-check + packed-batch path of
     /// [`crate::classify_module`], with the degradation ladder intact;
     /// borderline healthy verdicts are re-decided by the profiler tier
@@ -371,12 +373,9 @@ impl Cascade {
         max_call_depth: Option<u32>,
         mut cache: Option<&mut FeatureCache>,
     ) -> Vec<LoopReport> {
-        let partial = profile_module_resilient(module, entry, &[], max_steps, max_call_depth);
-        let trace_fault = partial.error.as_ref().map(|e| e.to_string());
-
         // Tier 0 — oracle short-circuit. Definite verdicts fill their
-        // report slot immediately; only the survivors pay for the PEG,
-        // featurisation, and the model.
+        // report slot immediately; only the survivors pay for the trace,
+        // the PEG, featurisation, and the model.
         let loops = &module.funcs[entry.index()].loops;
         let mut reports: Vec<Option<LoopReport>> = (0..loops.len()).map(|_| None).collect();
         let mut undecided: Vec<(usize, LoopId, u32, Option<Arc<OracleReport>>)> = Vec::new();
@@ -411,7 +410,11 @@ impl Cascade {
             return reports.into_iter().flatten().collect();
         }
 
-        let cus = build_cus(module);
+        let partial = profile_module_resilient(module, entry, &[], max_steps, max_call_depth);
+        let trace_fault = partial.error.as_ref().map(|e| e.to_string());
+        // Every sub-PEG lies inside `entry`, so the CUs and the PEG cover
+        // that function alone.
+        let cus = build_cus_in(module, std::iter::once(entry));
         let peg = build_peg(module, &cus, &partial.deps);
         let attach_static =
             self.config.static_features && sample_cfg.static_dim == OracleReport::FEAT_DIM;

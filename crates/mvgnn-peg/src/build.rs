@@ -53,7 +53,7 @@ pub struct PegEdge {
     pub carried: bool,
 }
 
-/// The full module-level PEG with lookup tables.
+/// The PEG of the functions a [`CuGraph`] covers, with lookup tables.
 #[derive(Debug, Clone)]
 pub struct Peg {
     /// Underlying directed multigraph.
@@ -79,7 +79,11 @@ pub struct SubPeg {
     pub l: LoopId,
 }
 
-/// Build the module PEG.
+/// Build the PEG of the functions `cus` covers: their function roots,
+/// loops and CUs, with hierarchy, def-use and dependence edges between
+/// them. Dependences with an endpoint outside the covered functions are
+/// dropped. Node order is functions, then loops, then CUs, each in
+/// ascending function order.
 pub fn build_peg(module: &Module, cus: &CuGraph, deps: &DepGraph) -> Peg {
     let mut graph: DiGraph<PegNode, PegEdge> = DiGraph::new();
     let mut node_of_cu = HashMap::new();
@@ -87,9 +91,8 @@ pub fn build_peg(module: &Module, cus: &CuGraph, deps: &DepGraph) -> Peg {
     let mut node_of_func = HashMap::new();
 
     // Function roots.
-    for (fi, f) in module.funcs.iter().enumerate() {
-        let func = FuncId(fi as u32);
-        let span = f
+    for &func in &cus.funcs {
+        let span = module.funcs[func.index()]
             .insts_with_refs(func)
             .fold((u32::MAX, 0u32), |acc, (_, _, line)| (acc.0.min(line), acc.1.max(line)));
         let n = graph.add_node(PegNode {
@@ -102,9 +105,8 @@ pub fn build_peg(module: &Module, cus: &CuGraph, deps: &DepGraph) -> Peg {
     }
 
     // Loop nodes.
-    for (fi, f) in module.funcs.iter().enumerate() {
-        let func = FuncId(fi as u32);
-        for info in &f.loops {
+    for &func in &cus.funcs {
+        for info in &module.funcs[func.index()].loops {
             let n = graph.add_node(PegNode {
                 kind: PegNodeKind::Loop(func, info.id),
                 token: "loop".to_string(),
@@ -134,9 +136,8 @@ pub fn build_peg(module: &Module, cus: &CuGraph, deps: &DepGraph) -> Peg {
 
     // Hierarchy edges: loop → parent (or function), CU → innermost loop
     // (or function). Direction is container → member.
-    for (fi, f) in module.funcs.iter().enumerate() {
-        let func = FuncId(fi as u32);
-        for info in &f.loops {
+    for &func in &cus.funcs {
+        for info in &module.funcs[func.index()].loops {
             let child = node_of_loop[&(func, info.id)];
             let parent = match info.parent {
                 Some(p) => node_of_loop[&(func, p)],
@@ -184,7 +185,9 @@ pub fn build_peg(module: &Module, cus: &CuGraph, deps: &DepGraph) -> Peg {
 }
 
 /// Extract the induced sub-PEG of loop `l` in `func`: the loop node, every
-/// CU whose members lie in the loop's blocks, and nested loop nodes.
+/// CU whose members lie in the loop's blocks, and nested loop nodes. The
+/// loop node is `NodeId(0)`. A loop outside the PEG's functions yields an
+/// empty graph.
 pub fn loop_subpeg(
     peg: &Peg,
     module: &Module,
@@ -192,9 +195,13 @@ pub fn loop_subpeg(
     func: FuncId,
     l: LoopId,
 ) -> SubPeg {
+    let loop_node = NodeId(0);
+    let Some(&root) = peg.node_of_loop.get(&(func, l)) else {
+        return SubPeg { graph: DiGraph::new(), loop_node, func, l };
+    };
     let f = &module.funcs[func.index()];
     let blocks: std::collections::HashSet<_> = f.loop_blocks(l).into_iter().collect();
-    let mut keep: Vec<NodeId> = vec![peg.node_of_loop[&(func, l)]];
+    let mut keep: Vec<NodeId> = vec![root];
     // Nested loops: parent chain contains l.
     for info in &f.loops {
         if info.id == l {
@@ -215,8 +222,8 @@ pub fn loop_subpeg(
             keep.push(peg.node_of_cu[&cu.id]);
         }
     }
-    let (graph, remap) = peg.graph.induced_subgraph(&keep);
-    let loop_node = remap[peg.node_of_loop[&(func, l)].index()].expect("loop node kept");
+    // `keep` starts with the loop node, so it lands at `NodeId(0)`.
+    let (graph, _) = peg.graph.induced_subgraph(&keep);
     SubPeg { graph, loop_node, func, l }
 }
 
@@ -226,7 +233,7 @@ mod tests {
     use mvgnn_ir::inst::BinOp;
     use mvgnn_ir::types::Ty;
     use mvgnn_ir::FunctionBuilder;
-    use mvgnn_profiler::{build_cus, profile_module};
+    use mvgnn_profiler::{build_cus, build_cus_in, profile_module};
 
     fn reduction_module() -> (Module, FuncId, LoopId) {
         let mut m = Module::new("red");
@@ -361,6 +368,83 @@ mod tests {
         let carried = |s: &SubPeg| s.graph.edge_ids().filter(|&e| s.graph.edge(e).carried).count();
         assert_eq!(carried(&sub_d), 0);
         assert!(carried(&sub_r) > 0);
+    }
+
+    /// `main` (one loop) calls `kernel` (one loop) after its own loop;
+    /// both loops touch the same array, so the trace carries
+    /// cross-function dependences.
+    fn two_function_module() -> (Module, FuncId, FuncId) {
+        let mut m = Module::new("two");
+        let a = m.add_array("a", Ty::F64, 8);
+        let kernel = {
+            let mut b = FunctionBuilder::new(&mut m, "kernel", 0);
+            let lo = b.const_i64(0);
+            let hi = b.const_i64(8);
+            let st = b.const_i64(1);
+            b.for_loop(lo, hi, st, |b, iv| {
+                let x = b.load(a, iv);
+                let y = b.bin(BinOp::Mul, x, x);
+                b.store(a, iv, y);
+            });
+            b.finish()
+        };
+        let mut b = FunctionBuilder::new(&mut m, "main", 0);
+        let lo = b.const_i64(0);
+        let hi = b.const_i64(8);
+        let st = b.const_i64(1);
+        b.for_loop(lo, hi, st, |b, iv| {
+            let x = b.load(a, iv);
+            let y = b.bin(BinOp::Add, x, x);
+            b.store(a, iv, y);
+        });
+        b.call_void(kernel, &[]);
+        let main = b.finish();
+        (m, main, kernel)
+    }
+
+    #[test]
+    fn loop_outside_the_scope_yields_an_empty_subpeg() {
+        let (m, main, kernel) = two_function_module();
+        let res = profile_module(&m, main, &[]).unwrap();
+        let cus = build_cus_in(&m, std::iter::once(main));
+        let peg = build_peg(&m, &cus, &res.deps);
+        assert_eq!(cus.funcs, vec![main]);
+        assert!(peg.node_of_func.contains_key(&main));
+        assert!(!peg.node_of_func.contains_key(&kernel));
+        let l = m.funcs[kernel.index()].loops[0].id;
+        let sub = loop_subpeg(&peg, &m, &cus, kernel, l);
+        assert_eq!(sub.graph.node_count(), 0);
+        assert_eq!(sub.graph.edge_count(), 0);
+    }
+
+    #[test]
+    fn scoped_subpeg_matches_the_whole_module_subpeg() {
+        let (m, main, kernel) = two_function_module();
+        let res = profile_module(&m, main, &[]).unwrap();
+        let whole_cus = build_cus(&m);
+        let whole = build_peg(&m, &whole_cus, &res.deps);
+        for func in [main, kernel] {
+            let cus = build_cus_in(&m, std::iter::once(func));
+            assert_eq!(cus.funcs, vec![func]);
+            let peg = build_peg(&m, &cus, &res.deps);
+            for info in &m.funcs[func.index()].loops {
+                let a = loop_subpeg(&whole, &m, &whole_cus, func, info.id);
+                let b = loop_subpeg(&peg, &m, &cus, func, info.id);
+                assert_eq!(a.loop_node, b.loop_node);
+                assert_eq!(a.graph.node_count(), b.graph.node_count());
+                for (x, y) in a.graph.node_weights().zip(b.graph.node_weights()) {
+                    assert_eq!(std::mem::discriminant(&x.kind), std::mem::discriminant(&y.kind));
+                    assert_eq!(
+                        (&x.token, &x.tokens, x.line_span),
+                        (&y.token, &y.tokens, y.line_span)
+                    );
+                }
+                let edges = |s: &SubPeg| -> Vec<_> {
+                    s.graph.edge_ids().map(|e| (s.graph.endpoints(e), *s.graph.edge(e))).collect()
+                };
+                assert_eq!(edges(&a), edges(&b));
+            }
+        }
     }
 
     #[test]

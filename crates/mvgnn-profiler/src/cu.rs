@@ -20,7 +20,8 @@ use mvgnn_ir::module::{FuncId, Module};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
-/// CU index, module-global.
+/// CU index, unique within its [`CuGraph`] (function-local when the
+/// graph covers a single function).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct CuId(pub u32);
 
@@ -65,9 +66,12 @@ pub struct CuInfo {
     pub token: String,
 }
 
-/// The CU partition of a module plus register def-use edges between CUs.
+/// The CU partition of some functions of a module plus register def-use
+/// edges between CUs.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CuGraph {
+    /// The functions this graph covers, ascending.
+    pub funcs: Vec<FuncId>,
     /// All CUs.
     pub cus: Vec<CuInfo>,
     /// Map from instruction to its CU (Br instructions are absent).
@@ -127,12 +131,25 @@ impl UnionFind {
 
 /// Build the CU partition for every function of a module.
 pub fn build_cus(module: &Module) -> CuGraph {
+    build_cus_in(module, (0..module.funcs.len()).map(|fi| FuncId(fi as u32)))
+}
+
+/// Build the CU partition of the functions `funcs` only. CU ids are
+/// assigned in ascending function order, so the graph of one function is
+/// the whole-module graph's slice for that function with its ids shifted
+/// to start at zero. Ids outside the module are ignored.
+pub fn build_cus_in(module: &Module, funcs: impl IntoIterator<Item = FuncId>) -> CuGraph {
+    let mut funcs: Vec<FuncId> =
+        funcs.into_iter().filter(|f| f.index() < module.funcs.len()).collect();
+    funcs.sort_unstable();
+    funcs.dedup();
     let mut cus: Vec<CuInfo> = Vec::new();
     let mut cu_of: HashMap<InstRef, CuId> = HashMap::new();
     let mut defuse_edges: Vec<(CuId, CuId)> = Vec::new();
 
-    for (fi, f) in module.funcs.iter().enumerate() {
-        let func = FuncId(fi as u32);
+    for &func in &funcs {
+        let f = &module.funcs[func.index()];
+        let first_cu = cus.len();
         let insts: Vec<(InstRef, &Inst, u32)> = f.insts_with_refs(func).collect();
         let n = insts.len();
         // Flat index per instruction for union-find.
@@ -213,7 +230,7 @@ pub fn build_cus(module: &Module) -> CuGraph {
         }
 
         // Tokens: singleton -> inst token; compute -> dominant member token.
-        for cu in cus.iter_mut().filter(|c| c.func == func) {
+        for cu in &mut cus[first_cu..] {
             let mut tokens: Vec<String> = cu
                 .members
                 .iter()
@@ -260,7 +277,7 @@ pub fn build_cus(module: &Module) -> CuGraph {
     }
     defuse_edges.sort_unstable();
     defuse_edges.dedup();
-    CuGraph { cus, cu_of, defuse_edges }
+    CuGraph { funcs, cus, cu_of, defuse_edges }
 }
 
 #[cfg(test)]
@@ -384,6 +401,42 @@ mod tests {
         let g = build_cus(&m);
         let comp = g.cus.iter().find(|c| c.members.len() == 3).unwrap();
         assert!(comp.line_span.1 > comp.line_span.0);
+    }
+
+    #[test]
+    fn scoped_graph_is_the_shifted_slice_of_the_whole_module_graph() {
+        let mut m = Module::new("t");
+        let a = m.add_array("a", Ty::F64, 4);
+        for name in ["f0", "f1", "f2"] {
+            let mut b = FunctionBuilder::new(&mut m, name, 0);
+            let z = b.const_i64(0);
+            let x = b.load(a, z);
+            let y = b.bin(BinOp::Mul, x, x);
+            b.store(a, z, y);
+            b.finish();
+        }
+        let whole = build_cus(&m);
+        assert_eq!(whole.funcs, vec![FuncId(0), FuncId(1), FuncId(2)]);
+        let f1 = FuncId(1);
+        let scoped = build_cus_in(&m, [f1, FuncId(9), f1]);
+        assert_eq!(scoped.funcs, vec![f1], "duplicates and out-of-range ids are dropped");
+        let slice: Vec<&CuInfo> = whole.cus.iter().filter(|c| c.func == f1).collect();
+        let shift = slice[0].id.0;
+        assert_eq!(scoped.len(), slice.len());
+        for (s, w) in scoped.cus.iter().zip(&slice) {
+            assert_eq!(s.id.0 + shift, w.id.0);
+            assert_eq!(
+                (s.kind, &s.members, s.line_span, &s.token),
+                (w.kind, &w.members, w.line_span, &w.token)
+            );
+        }
+        let shifted: Vec<(CuId, CuId)> = whole
+            .defuse_edges
+            .iter()
+            .filter(|(d, _)| whole.cus[d.index()].func == f1)
+            .map(|&(d, u)| (CuId(d.0 - shift), CuId(u.0 - shift)))
+            .collect();
+        assert_eq!(scoped.defuse_edges, shifted);
     }
 
     #[test]

@@ -24,7 +24,7 @@ pub mod features;
 pub mod profiler;
 
 pub use analysis::{classify_loop, reduction_targets, LoopClass};
-pub use cu::{build_cus, CuGraph, CuId, CuInfo, CuKind};
+pub use cu::{build_cus, build_cus_in, CuGraph, CuId, CuInfo, CuKind};
 pub use deps::{DepGraph, DepKind, Dependence};
 pub use features::{loop_features, DynamicFeatures};
 pub use profiler::{

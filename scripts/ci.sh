@@ -43,6 +43,19 @@ cargo run --release -p mvgnn-bench --bin coldstart --quiet -- --smoke
 echo "==> patterns smoke (planner proves in every family, zero rule-C contradictions)"
 cargo run --release -p mvgnn-bench --bin patterns --quiet -- --smoke
 
+echo "==> e2e benchmark smoke (traced replica parity on every workload)"
+# The traced replica rebuilds whole-module CUs and PEGs, so its parity
+# with the cascade also proves the entry-scoped builds. The benchmark
+# exits 0 when a check fails; the verdict is on its last line.
+for w in modules_cascade modules_gnn source_closed samples_window; do
+    last=$(cargo run --release --quiet --offline --manifest-path e2ebench/Cargo.toml -- \
+        --workload "$w" --seed 1 --seconds 1 --trace 1 | tail -n 1)
+    if [[ "$last" != *'"correct": true'* ]]; then
+        echo "FAIL: e2ebench $w: $last" >&2
+        exit 1
+    fi
+done
+
 echo "==> rustdoc (-D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 

@@ -9,7 +9,7 @@
 //! rows the oracle decides — every undecided row is untouched.
 
 use mvgnn::core::cascade::{Cascade, CascadeConfig, DecidedBy};
-use mvgnn::core::infer::{classify_module, PredictionSource};
+use mvgnn::core::infer::{classify_module, LoopReport, PredictionSource};
 use mvgnn::core::model::{MvGnn, MvGnnConfig};
 use mvgnn::core::FaultPlan;
 use mvgnn::dataset::{build_corpus, CorpusConfig, Suite};
@@ -26,6 +26,12 @@ use mvgnn::tensor::Workspace;
 /// parallel, a linear recurrence it proves dependent, and an
 /// indirect-index write it must leave `Unknown` (the GNN's row).
 fn mixed_module() -> (Module, FuncId) {
+    lattice_module(true)
+}
+
+/// The DOALL and the recurrence of [`mixed_module`], plus the indirect
+/// write when `with_unknown` is set.
+fn lattice_module(with_unknown: bool) -> (Module, FuncId) {
     let mut m = Module::new("parity");
     let a = m.add_array("a", Ty::F64, 32);
     let out = m.add_array("b", Ty::F64, 32);
@@ -45,11 +51,13 @@ fn mixed_module() -> (Module, FuncId) {
         let x = b.load(out, p);
         b.store(out, i, x);
     });
-    let v = b.const_f64(1.0);
-    b.for_loop(lo, hi, st, |b, i| {
-        let j = b.load(idx, i);
-        b.store(a, j, v);
-    });
+    if with_unknown {
+        let v = b.const_f64(1.0);
+        b.for_loop(lo, hi, st, |b, i| {
+            let j = b.load(idx, i);
+            b.store(a, j, v);
+        });
+    }
     let f = b.finish();
     (m, f)
 }
@@ -210,4 +218,55 @@ fn workspace_reuse_across_chunks_is_bit_identical_to_fresh_workspaces() {
         fresh.extend(Cascade::gnn_batch(&model, &mut Workspace::new(), chunk));
     }
     assert_eq!(reused, fresh, "workspace reuse must not move any verdict");
+}
+
+/// What tier 0 answers for a loop: verdict, tier, source, pragma and
+/// diagnostic.
+type Tier0View = (usize, DecidedBy, PredictionSource, Option<String>, Option<String>);
+
+fn tier0_view(r: &LoopReport) -> Tier0View {
+    let pragma = r.plan.as_ref().map(|p| p.pragma.clone());
+    (r.prediction, r.decided_by, r.source, pragma, r.diagnostic.clone())
+}
+
+#[test]
+fn oracle_decided_entries_never_read_the_trace() {
+    // Every loop is proved by tier 0, so the cascade must answer without
+    // interpreting the entry: a zero step budget changes nothing.
+    let (m, f) = lattice_module(false);
+    let (_, _, i2v, model) = setup();
+    let cfg = SampleConfig::default();
+    let full = Cascade::full();
+    let starved = full.classify_module(&model, &m, f, &i2v, &cfg, Some(0), None);
+    let free = full.classify_module(&model, &m, f, &i2v, &cfg, None, None);
+    assert_eq!(starved.len(), 2);
+    for (s, u) in starved.iter().zip(&free) {
+        assert_eq!(s.decided_by, DecidedBy::Oracle, "{s:?}");
+        assert!(s.diagnostic.is_none() && s.plan.is_some(), "{s:?}");
+        assert_eq!(tier0_view(s), tier0_view(u));
+    }
+}
+
+#[test]
+fn a_starved_budget_moves_only_the_rows_that_need_the_trace() {
+    let (m, f, i2v, model) = setup();
+    let cfg = SampleConfig::default();
+    let full = Cascade::full();
+    let starved = full.classify_module(&model, &m, f, &i2v, &cfg, Some(0), None);
+    let free = full.classify_module(&model, &m, f, &i2v, &cfg, None, None);
+    assert_eq!(starved.len(), free.len());
+    let mut oracle_rows = 0;
+    for (s, u) in starved.iter().zip(&free) {
+        if u.decided_by == DecidedBy::Oracle {
+            oracle_rows += 1;
+            assert!(s.diagnostic.is_none(), "{s:?}");
+            assert_eq!(tier0_view(s), tier0_view(u));
+        } else {
+            // The undecided row did run the starved interpreter.
+            assert_eq!(s.source, PredictionSource::ConservativeSerial, "{s:?}");
+            let why = s.diagnostic.as_deref().unwrap_or_default();
+            assert!(why.contains("trace truncated"), "{s:?}");
+        }
+    }
+    assert_eq!(oracle_rows, 2);
 }
